@@ -159,13 +159,13 @@ func (s *Stats) addFaultCounters(results ...*mapreduce.Result) {
 
 const counterDominanceTests = "baseline.dominance.tests"
 
-// getWindow returns the partition's columnar window from m, creating and
-// instrumenting an empty one on first use.
-func getWindow(m map[int]*window.Window, p, dim int, reg *obs.Registry) *window.Window {
+// getWindow returns the partition's columnar window from m, creating an
+// empty one instrumented with the task's tally on first use.
+func getWindow(m map[int]*window.Window, p, dim int, tally *window.Tally) *window.Window {
 	w := m[p]
 	if w == nil {
 		w = window.New(dim)
-		w.Instrument(reg)
+		w.Instrument(tally)
 		m[p] = w
 	}
 	return w
@@ -178,7 +178,10 @@ func getWindow(m map[int]*window.Window, p, dim int, reg *obs.Registry) *window.
 func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.Kernel) mapreduce.Mapper {
 	windows := make(map[int]*window.Window)
 	pending := make(map[int]tuple.List) // batch-kernel buffers
-	var cnt skyline.Count
+	var (
+		cnt   skyline.Count
+		tally window.Tally
+	)
 	return mapreduce.MapperFuncs{
 		MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
 			t, err := mapreduce.DecodeTupleRecord(rec)
@@ -190,7 +193,7 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 				pending[p] = append(pending[p], t)
 				return nil
 			}
-			getWindow(windows, p, dim, ctx.Trace.Metrics()).Insert(t, &cnt)
+			getWindow(windows, p, dim, tally.For(ctx.Trace.Metrics())).Insert(t, &cnt)
 			return nil
 		},
 		FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
@@ -200,6 +203,7 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 			}
 			doneLocal()
 			ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+			tally.Publish()
 			var scratch []byte
 			for _, w := range sortedWindows(windows) {
 				scratch = tuple.AppendEncodeList(scratch[:0], w.win.Rows())
@@ -215,14 +219,17 @@ func newPartitionMapper(dim int, locate func(t tuple.Tuple) int, kernel skyline.
 // (finishReduce) and emit the skyline.
 func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *skyline.Count) tuple.List) mapreduce.Reducer {
 	s := make(map[int]*window.Window)
-	var cnt skyline.Count
+	var (
+		cnt   skyline.Count
+		tally window.Tally
+	)
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
 			p, err := decodeKey(key)
 			if err != nil {
 				return err
 			}
-			w := getWindow(s, p, dim, ctx.Trace.Metrics())
+			w := getWindow(s, p, dim, tally.For(ctx.Trace.Metrics()))
 			for _, v := range values {
 				l, _, err := tuple.DecodeList(v)
 				if err != nil {
@@ -239,6 +246,7 @@ func newSingleReducer(dim int, finishReduce func(s map[int]*window.Window, cnt *
 			sky := finishReduce(s, &cnt)
 			doneMerge()
 			ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+			tally.Publish()
 			var scratch []byte
 			for _, t := range sky {
 				scratch = tuple.AppendEncode(scratch[:0], t)

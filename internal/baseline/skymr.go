@@ -102,6 +102,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 				t       *quadTree
 				windows map[int]*window.Window
 				cnt     skyline.Count
+				tally   window.Tally
 			)
 			return mapreduce.MapperFuncs{
 				MapFn: func(ctx *mapreduce.TaskContext, rec mapreduce.Record, _ mapreduce.Emitter) error {
@@ -120,11 +121,12 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 					if leaf.pruned {
 						return nil
 					}
-					getWindow(windows, leaf.id, d, ctx.Trace.Metrics()).Insert(tp, &cnt)
+					getWindow(windows, leaf.id, d, tally.For(ctx.Trace.Metrics())).Insert(tp, &cnt)
 					return nil
 				},
 				FlushFn: func(ctx *mapreduce.TaskContext, emit mapreduce.Emitter) error {
 					ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+					tally.Publish()
 					var scratch []byte
 					for _, w := range sortedWindows(windows) {
 						scratch = tuple.AppendEncodeList(scratch[:0], w.win.Rows())
@@ -135,12 +137,15 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 			}
 		},
 		NewReducer: func() mapreduce.Reducer {
-			var cnt skyline.Count
-			var scratch []byte
+			var (
+				cnt     skyline.Count
+				tally   window.Tally
+				scratch []byte
+			)
 			return mapreduce.ReducerFuncs{
 				ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
 					w := window.New(d)
-					w.Instrument(ctx.Trace.Metrics())
+					w.Instrument(tally.For(ctx.Trace.Metrics()))
 					for _, v := range values {
 						l, _, err := tuple.DecodeList(v)
 						if err != nil {
@@ -156,6 +161,7 @@ func SKYMR(cfg Config, data tuple.List) (tuple.List, *Stats, error) {
 				},
 				FlushFn: func(ctx *mapreduce.TaskContext, _ mapreduce.Emitter) error {
 					ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+					tally.Publish()
 					return nil
 				},
 			}

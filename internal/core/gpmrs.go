@@ -9,6 +9,7 @@ import (
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
 	"mrskyline/internal/skyline"
+	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -151,6 +152,10 @@ func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, emit mapreduce.Emitter) error {
 			defer ctx.Trace.Timed(ctx.Track, "merge", obs.CatAlgo, "algo.merge.ns")()
+			// The group's windows live for this call only, and so does
+			// the tally of their kernel work.
+			var tally window.Tally
+			defer tally.Publish()
 			b, err := decodeKey(key)
 			if err != nil {
 				return err
@@ -181,7 +186,7 @@ func newGPMRSReducer(cfg *Config, g *grid.Grid) mapreduce.Reducer {
 					if !mg.HasPartition(p) {
 						return fmt.Errorf("core: bucket %d received foreign partition %d", b, p)
 					}
-					w := s.window(p, g.Dim(), ctx.Trace.Metrics())
+					w := s.window(p, g.Dim(), tally.For(ctx.Trace.Metrics()))
 					for _, t := range l {
 						w.Insert(t, &cnt)
 					}

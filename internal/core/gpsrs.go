@@ -9,6 +9,7 @@ import (
 	"mrskyline/internal/mapreduce"
 	"mrskyline/internal/obs"
 	"mrskyline/internal/skyline"
+	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
 )
 
@@ -79,6 +80,7 @@ func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
 	var (
 		merged = make(winMap)
 		cnt    skyline.Count
+		tally  window.Tally
 	)
 	return mapreduce.ReducerFuncs{
 		ReduceFn: func(ctx *mapreduce.TaskContext, key []byte, values [][]byte, _ mapreduce.Emitter) error {
@@ -91,7 +93,7 @@ func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
 			if p < 0 || p >= g.NumPartitions() {
 				return fmt.Errorf("core: partition key %d out of range", p)
 			}
-			w := merged.window(p, g.Dim(), ctx.Trace.Metrics())
+			w := merged.window(p, g.Dim(), tally.For(ctx.Trace.Metrics()))
 			for _, v := range values {
 				l, _, err := tuple.DecodeList(v)
 				if err != nil {
@@ -112,6 +114,7 @@ func newGPSRSReducer(g *grid.Grid) mapreduce.Reducer {
 			doneMerge()
 			ctx.Counters.SetMax(counterPartCmpReduceMax, partCmp)
 			ctx.Counters.Add(counterDominanceTests, cnt.DominanceTests)
+			tally.Publish()
 			var scratch []byte
 			for _, p := range merged.sortedPartitions() {
 				for _, t := range merged[p].Rows() {

@@ -21,7 +21,10 @@ type localState struct {
 	bs     *bitstring.Bitstring
 	kernel skyline.Kernel
 	reg    *obs.Registry
-	s      winMap
+	// tally accumulates the kernel metrics of this task's windows until
+	// recordCounters publishes them to reg.
+	tally window.Tally
+	s     winMap
 	// buffered tuples per partition, used by the batch kernels (SFS, D&C),
 	// which need the whole partition before running.
 	pending map[int]tuple.List
@@ -54,7 +57,7 @@ func (ls *localState) add(t tuple.Tuple) error {
 		ls.pending[j] = append(ls.pending[j], t)
 		return nil
 	}
-	ls.s.window(j, ls.g.Dim(), ls.reg).Insert(t, &ls.cnt)
+	ls.s.window(j, ls.g.Dim(), ls.tally.For(ls.reg)).Insert(t, &ls.cnt)
 	return nil
 }
 
@@ -65,7 +68,7 @@ func (ls *localState) finish() winMap {
 	if ls.pending != nil {
 		for p, data := range ls.pending {
 			w := window.FromList(ls.g.Dim(), ls.kernel.Compute(data, &ls.cnt))
-			w.Instrument(ls.reg)
+			w.Instrument(ls.tally.For(ls.reg))
 			ls.s[p] = w
 		}
 		ls.pending = nil
@@ -75,8 +78,8 @@ func (ls *localState) finish() winMap {
 }
 
 // recordCounters folds the task's comparison telemetry into its counter
-// set; max-counters give the busiest task per phase (Figure 11), the sum
-// counter gives total dominance work.
+// set — max-counters give the busiest task per phase (Figure 11), the sum
+// counter gives total dominance work — and publishes its kernel tally.
 func (ls *localState) recordCounters(ctx *mapreduce.TaskContext, phase mapreduce.Phase) {
 	name := counterPartCmpMapMax
 	if phase == mapreduce.PhaseReduce {
@@ -84,6 +87,7 @@ func (ls *localState) recordCounters(ctx *mapreduce.TaskContext, phase mapreduce
 	}
 	ctx.Counters.SetMax(name, ls.partCmp)
 	ctx.Counters.Add(counterDominanceTests, ls.cnt.DominanceTests)
+	ls.tally.Publish()
 }
 
 // comparePartitions implements Algorithm 5 applied to every partition of S

@@ -37,4 +37,11 @@
 // immediately, so instrumented code calls straight through without
 // guarding call sites; a disabled (nil) tracer costs a few nanoseconds
 // per call site, verified against BenchmarkShuffle in internal/mapreduce.
+//
+// Between the two sits NewMetricsOnly: a tracer whose registry is live
+// but whose span methods are as inert as a nil tracer's, for a
+// long-lived server that reports metrics and must not grow a span log
+// with every request. Hot loops that would otherwise take the registry
+// lock per event accumulate into a task-local Histogram and publish it
+// once with Registry.AddHistogram.
 package obs

@@ -17,7 +17,7 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]int64
-	hists    map[string]*histogram
+	hists    map[string]*Histogram
 }
 
 // NewRegistry creates an enabled, empty registry.
@@ -25,7 +25,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]int64),
 		gauges:   make(map[string]int64),
-		hists:    make(map[string]*histogram),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -68,24 +68,44 @@ func (r *Registry) Observe(name string, sample int64) {
 	if r == nil {
 		return
 	}
-	if sample < 0 {
-		sample = 0
-	}
 	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = &histogram{}
-		r.hists[name] = h
-	}
-	h.observe(sample)
+	r.hist(name).Observe(sample)
 	r.mu.Unlock()
 }
 
-// histogram buckets samples by bit length: bucket i holds samples whose
+// AddHistogram merges every sample of h into the named histogram, with
+// the same result as passing each to Observe: one lock acquisition for a
+// whole batch of samples. An empty h changes nothing — in particular it
+// creates no zero-count histogram.
+func (r *Registry) AddHistogram(name string, h *Histogram) {
+	if r == nil || h.count == 0 {
+		return
+	}
+	r.mu.Lock()
+	r.hist(name).merge(h)
+	r.mu.Unlock()
+}
+
+// hist returns the named histogram, creating it; r.mu must be held.
+func (r *Registry) hist(name string) *Histogram {
+	h := r.hists[name]
+	if h == nil {
+		h = &Histogram{}
+		r.hists[name] = h
+	}
+	return h
+}
+
+// Histogram buckets samples by bit length: bucket i holds samples whose
 // value has bit length i, i.e. [2^(i-1), 2^i) for i ≥ 1 and {0} for
 // i = 0. Power-of-two buckets cover the nanosecond-to-minutes and
 // byte-to-gigabyte ranges in 64 fixed slots with no configuration.
-type histogram struct {
+//
+// The zero Histogram is empty and ready to use. Outside a Registry it is
+// not safe for concurrent use: it is the task-local accumulator a hot
+// loop observes into without locking and later publishes whole with
+// Registry.AddHistogram.
+type Histogram struct {
 	buckets [65]int64
 	count   int64
 	sum     int64
@@ -93,7 +113,14 @@ type histogram struct {
 	max     int64
 }
 
-func (h *histogram) observe(v int64) {
+// Count returns the number of samples observed.
+func (h *Histogram) Count() int64 { return h.count }
+
+// Observe records one sample. Negative samples clamp to zero.
+func (h *Histogram) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
 	h.buckets[bits.Len64(uint64(v))]++
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -105,10 +132,25 @@ func (h *histogram) observe(v int64) {
 	h.sum += v
 }
 
+// merge adds o's samples to h.
+func (h *Histogram) merge(o *Histogram) {
+	for i, n := range o.buckets {
+		h.buckets[i] += n
+	}
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if o.max > h.max {
+		h.max = o.max
+	}
+	h.count += o.count
+	h.sum += o.sum
+}
+
 // quantile returns an upper bound for the q-quantile: the top edge of
 // the bucket holding the q·count-th sample (exact for min/max samples
 // seen, within 2× otherwise).
-func (h *histogram) quantile(q float64) int64 {
+func (h *Histogram) quantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}

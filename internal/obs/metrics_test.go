@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -129,4 +130,40 @@ func TestCounterDirectLookup(t *testing.T) {
 	if got := nilReg.Counter("anything"); got != 0 {
 		t.Fatalf("nil Counter = %d, want 0", got)
 	}
+}
+
+// TestAddHistogramMatchesObserve checks that publishing task-local
+// histograms is indistinguishable from observing every sample in the
+// registry directly: same buckets, count, sum, min and max.
+func TestAddHistogramMatchesObserve(t *testing.T) {
+	samples := [][]int64{{5, 900, 3, -2}, {}, {70000, 1, 1}, {64, 65, 1 << 40}}
+	direct, merged := NewRegistry(), NewRegistry()
+	merged.Observe("h", 17) // a histogram that already holds samples
+	direct.Observe("h", 17)
+	for _, batch := range samples {
+		var local Histogram
+		for _, v := range batch {
+			local.Observe(v)
+			direct.Observe("h", v)
+		}
+		merged.AddHistogram("h", &local)
+	}
+	if !reflect.DeepEqual(merged.hists["h"], direct.hists["h"]) {
+		t.Fatalf("merged histogram %+v, want %+v", merged.hists["h"], direct.hists["h"])
+	}
+	if a, b := merged.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("snapshots differ:\n%v\n%v", a, b)
+	}
+}
+
+// TestAddEmptyHistogramCreatesNothing guards the snapshot's Mean = Sum /
+// Count: publishing an empty histogram must not create a zero-count series.
+func TestAddEmptyHistogramCreatesNothing(t *testing.T) {
+	r := NewRegistry()
+	r.AddHistogram("h", &Histogram{})
+	if s := r.Snapshot(); len(s.Histograms) != 0 {
+		t.Fatalf("empty publish created %+v", s.Histograms)
+	}
+	var nilReg *Registry
+	nilReg.AddHistogram("h", &Histogram{}) // disabled registry: no-op
 }

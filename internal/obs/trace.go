@@ -42,8 +42,8 @@ type Span struct {
 }
 
 // Tracer records spans and metrics. The zero value is not usable; create
-// with New. A nil *Tracer is the disabled tracer: every method returns
-// immediately, so instrumentation sites need no guards.
+// with New or NewMetricsOnly. A nil *Tracer is the disabled tracer: every
+// method returns immediately, so instrumentation sites need no guards.
 //
 // Tracer is safe for concurrent use.
 type Tracer struct {
@@ -52,6 +52,8 @@ type Tracer struct {
 	spans []Span
 	vbase time.Duration
 	reg   *Registry
+	// metricsOnly makes Start and Record inert (see NewMetricsOnly).
+	metricsOnly bool
 }
 
 // New creates an enabled tracer whose wall epoch is the moment of the
@@ -60,7 +62,17 @@ func New() *Tracer {
 	return &Tracer{epoch: time.Now(), reg: NewRegistry()}
 }
 
-// Enabled reports whether the tracer records anything.
+// NewMetricsOnly creates a tracer that keeps a metrics registry but
+// records no spans: Start and Record return without reading the clock or
+// retaining anything, while Timed still observes its histogram. It is the
+// tracer of a long-lived server, whose metrics stay bounded by the number
+// of series however many requests it serves, where New's span log would
+// grow with every request.
+func NewMetricsOnly() *Tracer {
+	return &Tracer{epoch: time.Now(), reg: NewRegistry(), metricsOnly: true}
+}
+
+// Enabled reports whether the tracer records anything (metrics at least).
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Now returns the wall-clock offset from the tracer's epoch (zero when
@@ -99,7 +111,7 @@ func (t *Tracer) ResetMetrics() {
 // virtual-clock instrumentation. Spans with End < Start are clamped to
 // zero duration.
 func (t *Tracer) Record(s Span) {
-	if t == nil {
+	if t == nil || t.metricsOnly {
 		return
 	}
 	if s.End < s.Start {
@@ -122,9 +134,9 @@ type SpanRef struct {
 }
 
 // Start opens a wall-clock span now. The returned SpanRef must be ended
-// exactly once; a SpanRef from a nil tracer is inert.
+// exactly once; a SpanRef from a nil or metrics-only tracer is inert.
 func (t *Tracer) Start(track, name, cat string, args ...Arg) SpanRef {
-	if t == nil {
+	if t == nil || t.metricsOnly {
 		return SpanRef{}
 	}
 	return SpanRef{t: t, track: track, name: name, cat: cat, start: t.Now(), args: args}

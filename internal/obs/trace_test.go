@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -141,5 +142,42 @@ func TestResetMetricsKeepsSpans(t *testing.T) {
 	}
 	if len(tr.Spans()) != 1 {
 		t.Fatal("spans lost on metrics reset")
+	}
+}
+
+// TestMetricsOnlyTracerRecordsNoSpans checks the server tracer: spans,
+// explicit or timed, leave nothing behind, while every metric — including
+// the histogram Timed observes — is kept.
+func TestMetricsOnlyTracerRecordsNoSpans(t *testing.T) {
+	tr := NewMetricsOnly()
+	if !tr.Enabled() {
+		t.Fatal("metrics-only tracer reports disabled")
+	}
+	for i := 0; i < 100; i++ {
+		ref := tr.Start(DriverTrack, "x", CatJob)
+		if ref.t != nil {
+			t.Fatalf("Start returned a live span ref %+v", ref)
+		}
+		ref.End()
+		tr.Record(Span{Track: DriverTrack, Name: "y", Start: 0, End: 1})
+		tr.Timed(DriverTrack, "z", CatAlgo, "algo.z.ns")()
+		tr.Metrics().Count("c", 1)
+	}
+	if n := len(tr.Spans()); n != 0 {
+		t.Fatalf("metrics-only tracer holds %d spans", n)
+	}
+	snap := tr.Metrics().Snapshot()
+	if len(snap.Counters) != 1 || snap.Counters[0].Value != 100 {
+		t.Fatalf("counters: %+v", snap.Counters)
+	}
+	if len(snap.Histograms) != 1 || snap.Histograms[0].Name != "algo.z.ns" || snap.Histograms[0].Count != 100 {
+		t.Fatalf("Timed histogram: %+v", snap.Histograms)
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateChromeTraceJSON(buf.Bytes()); err != nil {
+		t.Fatalf("empty trace fails validation: %v", err)
 	}
 }

@@ -51,13 +51,51 @@ func (c *Count) Add(n int64) {
 	}
 }
 
-// Metric names published by instrumented windows (see Instrument).
+// Metric names published by a Tally (see Instrument).
 const (
 	// MetricDominanceTests is the obs counter of pair classifications.
 	MetricDominanceTests = "algo.dominance.tests"
 	// MetricInsertNs is the obs histogram of per-Insert latencies.
 	MetricInsertNs = "algo.insert.ns"
 )
+
+// Tally is one task's private account of the work its instrumented
+// windows do: the pair classifications (MetricDominanceTests) and the
+// per-Insert latencies (MetricInsertNs). Windows add to it with plain
+// field updates — no lock, no map lookup — and the task hands the whole
+// account to the shared registry once, with Publish, at the point where
+// it also folds its Count into the job counters.
+//
+// The zero Tally is unbound and publishes nothing; For binds it. A Tally
+// belongs to one task and is not safe for concurrent use.
+type Tally struct {
+	reg      *obs.Registry
+	pairs    int64
+	insertNs obs.Histogram
+}
+
+// For binds the tally to reg, the registry the task publishes to, and
+// returns it for Instrument — or nil when reg is nil, so the windows of a
+// task without metrics stay uninstrumented and read no clock.
+func (t *Tally) For(reg *obs.Registry) *Tally {
+	if reg == nil {
+		return nil
+	}
+	t.reg = reg
+	return t
+}
+
+// Publish adds the tally to its registry and resets it, so publishing
+// twice never counts anything twice. A tally that recorded nothing
+// publishes nothing.
+func (t *Tally) Publish() {
+	if t.pairs == 0 && t.insertNs.Count() == 0 {
+		return
+	}
+	t.reg.Count(MetricDominanceTests, t.pairs)
+	t.reg.AddHistogram(MetricInsertNs, &t.insertNs)
+	*t = Tally{reg: t.reg}
+}
 
 // Window is a dominance-free local-skyline window in columnar layout:
 // cols[k][i] holds tuple i's value on dimension k, and rows[i] is the
@@ -70,9 +108,10 @@ type Window struct {
 	rows tuple.List
 	// evicts is the per-block eviction mask scratch reused across Inserts.
 	evicts []uint32
-	// reg, when non-nil, receives MetricDominanceTests /  MetricInsertNs.
-	// Nil costs one predictable branch per operation (pay-for-use).
-	reg *obs.Registry
+	// tally, when non-nil, accumulates MetricDominanceTests and
+	// MetricInsertNs for the owning task. Nil costs one predictable
+	// branch per operation (pay-for-use).
+	tally *Tally
 }
 
 // New returns an empty window for dim-dimensional tuples.
@@ -95,10 +134,10 @@ func FromList(dim int, l tuple.List) *Window {
 	return w
 }
 
-// Instrument attaches an obs metrics registry: Insert observes
-// MetricInsertNs per call, and every classifying operation adds its pair
-// count to MetricDominanceTests. A nil registry detaches.
-func (w *Window) Instrument(reg *obs.Registry) { w.reg = reg }
+// Instrument attaches a task's tally: Insert times every call into its
+// MetricInsertNs histogram, and every classifying operation adds its pair
+// count to MetricDominanceTests. A nil tally detaches.
+func (w *Window) Instrument(t *Tally) { w.tally = t }
 
 // Len returns the number of tuples in the window; nil-safe.
 func (w *Window) Len() int {
@@ -307,7 +346,7 @@ func (w *Window) Insert(t tuple.Tuple, c *Count) bool {
 		panic(fmt.Sprintf("window: tuple dimensionality %d does not match window d=%d", len(t), w.dim))
 	}
 	var t0 time.Time
-	if w.reg != nil {
+	if w.tally != nil {
 		t0 = time.Now()
 	}
 	n := len(w.rows)
@@ -348,9 +387,9 @@ func (w *Window) Insert(t tuple.Tuple, c *Count) bool {
 		}
 		w.Append(t)
 	}
-	if w.reg != nil {
-		w.reg.Observe(MetricInsertNs, int64(time.Since(t0)))
-		w.reg.Count(MetricDominanceTests, pairs)
+	if w.tally != nil {
+		w.tally.insertNs.Observe(int64(time.Since(t0)))
+		w.tally.pairs += pairs
 	}
 	return inserted
 }
@@ -404,8 +443,8 @@ func (w *Window) Dominated(t tuple.Tuple, c *Count) bool {
 		}
 	}
 	c.Add(pairs)
-	if w.reg != nil {
-		w.reg.Count(MetricDominanceTests, pairs)
+	if w.tally != nil {
+		w.tally.pairs += pairs
 	}
 	return dominated
 }

@@ -10,6 +10,7 @@ package window_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mrskyline/internal/obs"
@@ -214,13 +215,15 @@ func TestWindowStaysDominanceFree(t *testing.T) {
 }
 
 // TestInstrumentedWindowPublishesMetrics checks the obs wiring: an
-// instrumented window publishes the pair-classification counter and the
-// per-insert latency histogram, in agreement with the Count it was
-// handed; a detached window publishes nothing.
+// instrumented window accumulates into its task's tally, and the tally
+// reaches the registry only when published — the pair-classification
+// counter and the per-insert latency histogram, in agreement with the
+// Count the window was handed. A detached window adds nothing to it.
 func TestInstrumentedWindowPublishesMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
+	var tally window.Tally
 	w := window.New(2)
-	w.Instrument(reg)
+	w.Instrument(tally.For(reg))
 	rng := rand.New(rand.NewSource(9))
 	var cnt skyline.Count
 	inserts := int64(0)
@@ -229,6 +232,20 @@ func TestInstrumentedWindowPublishesMetrics(t *testing.T) {
 		inserts++
 	}
 	w.Dominated(tuple.Tuple{0.5, 0.5}, &cnt)
+	if s := reg.Snapshot(); len(s.Counters)+len(s.Histograms) != 0 {
+		t.Errorf("metrics reached the registry before the tally was published: %v", s)
+	}
+
+	// Detached windows must not add to the tally (pay-for-use). Their
+	// work happens before Publish, so any leak would show in the totals
+	// checked below.
+	w2 := window.New(2)
+	w2.Insert(tuple.Tuple{0.1, 0.2}, nil)
+	w2.Insert(tuple.Tuple{0.2, 0.1}, nil)
+	w2.Dominated(tuple.Tuple{0.5, 0.5}, nil)
+	w.FilterBy(w2, nil)
+
+	tally.Publish()
 	snap := reg.Snapshot()
 	var tests int64
 	for _, c := range snap.Counters {
@@ -252,11 +269,26 @@ func TestInstrumentedWindowPublishesMetrics(t *testing.T) {
 		t.Errorf("metric %s not published", window.MetricInsertNs)
 	}
 
-	// Detached windows must not publish (pay-for-use).
-	w2 := window.New(2)
-	w2.Insert(tuple.Tuple{0.1, 0.2}, nil)
-	if s := (&obs.Registry{}).Snapshot(); len(s.Counters) != 0 {
-		t.Errorf("uninstrumented window published metrics: %v", s)
+	// Publish resets the tally: publishing again adds nothing.
+	tally.Publish()
+	if again := reg.Snapshot(); !reflect.DeepEqual(again, snap) {
+		t.Errorf("second Publish changed the registry:\n%v\nwant\n%v", again, snap)
+	}
+}
+
+// TestTallyEmptyPublish checks that a task whose windows did no work
+// publishes nothing: no zero counter and, above all, no zero-count
+// histogram, whose summary would divide by its count.
+func TestTallyEmptyPublish(t *testing.T) {
+	reg := obs.NewRegistry()
+	var tally window.Tally
+	window.New(3).Instrument(tally.For(reg))
+	tally.Publish()
+	if s := reg.Snapshot(); len(s.Counters)+len(s.Histograms) != 0 {
+		t.Fatalf("empty tally published %v", s)
+	}
+	if tally.For(nil) != nil {
+		t.Fatal("a tally bound to no registry must leave windows uninstrumented")
 	}
 }
 

@@ -154,7 +154,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		}
 		eng.Spill = &spill.Config{Dir: dir, Budget: cfg.SpillBudget, Stats: &spill.Stats{}}
 	}
-	tr := obs.New()
+	// Metrics only: a long-lived service would otherwise keep every span
+	// of every query. A caller that wants spans passes an engine carrying
+	// its own tracer as cfg.Executor.
+	tr := obs.NewMetricsOnly()
 	eng.SetTrace(tr)
 	eng.SetAdmission(maxInFlight, maxQueue)
 	return &Service{exec: eng, eng: eng, trace: tr, timeout: cfg.QueryTimeout, walCfg: cfg}, nil
