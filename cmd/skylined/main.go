@@ -418,11 +418,24 @@ func (s *server) postOnly(h func(w http.ResponseWriter, r *http.Request)) http.H
 	}
 }
 
+// decodeRequest reads and decodes a request body that may carry rows
+// under "data" (see decodeRowsBody).
+func decodeRequest[T any](r *http.Request, v *T, data func(*T) *[][]float64) error {
+	body, err := readBody(r.Body, r.ContentLength)
+	if err == nil {
+		err = decodeRowsBody(body, v, data)
+	}
+	if err != nil {
+		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	}
+	return nil
+}
+
 // decodeQuery parses the body and resolves the dataset reference.
 func (s *server) decodeQuery(r *http.Request) (*queryRequest, [][]float64, error) {
 	var q queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		return nil, nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+	if err := decodeRequest(r, &q, func(q *queryRequest) *[][]float64 { return &q.Data }); err != nil {
+		return nil, nil, err
 	}
 	if q.Dataset == "" {
 		return &q, q.Data, nil
@@ -501,8 +514,7 @@ func (s *server) handleMaintainedSkyline(w http.ResponseWriter, r *http.Request)
 			return
 		}
 	}
-	snap := h.Skyline()
-	writeJSON(w, map[string]any{"gen": snap.Gen, "changed": true, "skyline": snap.Skyline})
+	writeMaintainedSkyline(w, h.Skyline())
 }
 
 func (s *server) handleSkyline(w http.ResponseWriter, r *http.Request) {
@@ -516,7 +528,7 @@ func (s *server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
+	writeQueryResponse(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
 }
 
 func (s *server) handleConstrained(w http.ResponseWriter, r *http.Request) {
@@ -534,7 +546,7 @@ func (s *server) handleConstrained(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
+	writeQueryResponse(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
 }
 
 func (s *server) handleSubspace(w http.ResponseWriter, r *http.Request) {
@@ -548,7 +560,7 @@ func (s *server) handleSubspace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
+	writeQueryResponse(w, queryResponse{Skyline: res.Skyline, Stats: res.Stats})
 }
 
 // datasetRequest registers a named dataset: inline rows or a synthetic
@@ -598,8 +610,8 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"datasets": list})
 	case http.MethodPost:
 		var req datasetRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()})
+		if err := decodeRequest(r, &req, func(req *datasetRequest) *[][]float64 { return &req.Data }); err != nil {
+			writeError(w, err)
 			return
 		}
 		if err := validateDatasetName(req.Name); err != nil {

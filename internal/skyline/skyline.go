@@ -12,7 +12,7 @@
 package skyline
 
 import (
-	"sort"
+	"slices"
 
 	"mrskyline/internal/skyline/window"
 	"mrskyline/internal/tuple"
@@ -85,14 +85,29 @@ func SFS(data tuple.List, c *Count) tuple.List {
 	if len(data) == 0 {
 		return nil
 	}
-	sorted := make(tuple.List, len(data))
-	copy(sorted, data)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Sum() < sorted[j].Sum()
+	// Scores are computed once, not per comparison, and the sort moves
+	// pointer-free (score, index) pairs. The comparator orders by < alone
+	// (unlike cmp.Compare, which ranks NaN first).
+	type scored struct {
+		sum float64
+		i   int
+	}
+	order := make([]scored, len(data))
+	for i, t := range data {
+		order[i] = scored{t.Sum(), i}
+	}
+	slices.SortStableFunc(order, func(a, b scored) int {
+		switch {
+		case a.sum < b.sum:
+			return -1
+		case b.sum < a.sum:
+			return 1
+		}
+		return 0
 	})
 	w := window.New(len(data[0]))
-	for _, t := range sorted {
-		if !w.Dominated(t, c) {
+	for _, s := range order {
+		if t := data[s.i]; !w.Dominated(t, c) {
 			w.Append(t)
 		}
 	}
